@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race race-hot bench benchingest ingest-smoke ingest-batch-smoke benchregion region-smoke benchwatch benchwatch-smoke soak soak-short check
+.PHONY: all build vet lint test race race-hot bench benchingest ingest-smoke ingest-batch-smoke benchregion region-smoke benchwatch benchwatch-smoke soak soak-short perfbench-check check
 
 all: check
 
@@ -101,4 +101,10 @@ soak:
 soak-short:
 	$(GO) run ./cmd/soak -intervals 60000
 
-check: build lint test bench ingest-smoke ingest-batch-smoke region-smoke benchwatch benchwatch-smoke soak-short
+# Vet and test the benchmark module. _perfbench has its own go.mod (it
+# replaces regionmon with this checkout), so the root ./... skips it; this
+# target is what catches an API change that would break the benchmark.
+perfbench-check:
+	cd _perfbench && $(GO) vet ./... && $(GO) test ./...
+
+check: build lint test perfbench-check bench ingest-smoke ingest-batch-smoke region-smoke benchwatch benchwatch-smoke soak-short

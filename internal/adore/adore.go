@@ -283,10 +283,11 @@ type RTO struct {
 	exec *sim.Executor
 	mon  *hpm.Monitor
 
-	pipe  *pipeline.Pipeline
-	ga    *pipeline.GPD           // nil unless PolicyGPD
-	ra    *pipeline.RegionMonitor // nil unless PolicyLPD
-	cpiAd *pipeline.Perf          // nil unless TrackCPI
+	pipe *pipeline.Pipeline
+	gdet *gpd.Detector           // nil unless PolicyGPD
+	rmon *region.Monitor         // nil unless PolicyLPD
+	ra   *pipeline.RegionMonitor // rmon's adapter; nil unless PolicyLPD
+	cpi  *gpd.PerfTracker        // nil unless TrackCPI
 
 	patched       map[sim.Span]*patchState
 	blacklist     map[sim.Span]bool
@@ -335,8 +336,8 @@ func New(prog *isa.Program, sched *sim.Schedule, hpmCfg hpm.Config, cfg Config) 
 		if err != nil {
 			return nil, err
 		}
-		r.cpiAd = pipeline.NewCPI(tr)
-		r.pipe.MustRegister(r.cpiAd)
+		r.cpi = tr
+		r.pipe.MustRegister(pipeline.NewCPI(tr))
 	}
 	switch cfg.Policy {
 	case PolicyGPD:
@@ -344,13 +345,14 @@ func New(prog *isa.Program, sched *sim.Schedule, hpmCfg hpm.Config, cfg Config) 
 		if err != nil {
 			return nil, err
 		}
-		r.ga = pipeline.NewGPD(d)
-		r.pipe.MustRegister(r.ga)
+		r.gdet = d
+		r.pipe.MustRegister(pipeline.NewGPD(d))
 	case PolicyLPD:
 		m, err := region.NewMonitor(prog, cfg.Region)
 		if err != nil {
 			return nil, err
 		}
+		r.rmon = m
 		r.ra = pipeline.NewRegionMonitor(m)
 		r.pipe.MustRegister(r.ra)
 	}
@@ -365,20 +367,10 @@ func (r *RTO) Executor() *sim.Executor { return r.exec }
 func (r *RTO) Pipeline() *pipeline.Pipeline { return r.pipe }
 
 // RegionMonitor exposes the region monitor (nil unless PolicyLPD).
-func (r *RTO) RegionMonitor() *region.Monitor {
-	if r.ra == nil {
-		return nil
-	}
-	return r.ra.Monitor()
-}
+func (r *RTO) RegionMonitor() *region.Monitor { return r.rmon }
 
 // GlobalDetector exposes the GPD detector (nil unless PolicyGPD).
-func (r *RTO) GlobalDetector() *gpd.Detector {
-	if r.ga == nil {
-		return nil
-	}
-	return r.ga.Detector()
-}
+func (r *RTO) GlobalDetector() *gpd.Detector { return r.gdet }
 
 // Run executes the schedule under the controller and returns the summary.
 func (r *RTO) Run() RunResult {
@@ -395,10 +387,10 @@ func (r *RTO) Run() RunResult {
 	}
 	switch r.cfg.Policy {
 	case PolicyGPD:
-		res.StableFraction = r.ga.Detector().StableFraction()
+		res.StableFraction = r.gdet.StableFraction()
 	case PolicyLPD:
 		res.StableFraction = r.ra.WeightedStableFraction()
-		res.Regions = len(r.ra.Monitor().Regions())
+		res.Regions = len(r.rmon.Regions())
 	}
 	return res
 }
@@ -406,7 +398,7 @@ func (r *RTO) Run() RunResult {
 func (r *RTO) phaseChanges() int {
 	switch r.cfg.Policy {
 	case PolicyGPD:
-		return r.ga.Detector().PhaseChanges()
+		return r.gdet.PhaseChanges()
 	case PolicyLPD:
 		return r.ra.PhaseChanges()
 	default:
@@ -471,12 +463,7 @@ func (r *RTO) onOverflow(ov *hpm.Overflow) {
 }
 
 // CPITracker exposes the CPI tracker (nil unless TrackCPI).
-func (r *RTO) CPITracker() *gpd.PerfTracker {
-	if r.cpiAd == nil {
-		return nil
-	}
-	return r.cpiAd.Tracker()
-}
+func (r *RTO) CPITracker() *gpd.PerfTracker { return r.cpi }
 
 // perfControl reacts to the CPI tracker's verdict: log characteristic
 // changes and, under RTO-ORIG, re-evaluate every trace — the working set

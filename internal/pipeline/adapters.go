@@ -1,11 +1,13 @@
 package pipeline
 
 // Adapters wrapping each of the repo's detector families behind the
-// PhaseDetector interface. Each adapter owns whatever scratch state its
-// detector needs per interval (PC buffers, last-verdict storage) and
-// reuses it across intervals, so the fan-out adds no per-interval
-// allocations to the monitoring hot path. Verdict payloads point into
-// that reused storage — valid until the adapter's next ObserveInterval.
+// PhaseDetector interface. Each adapter is a name plus a forwarder: its
+// ObserveInterval calls the wrapped detector directly (statically typed,
+// so phaselint's hotpath analyzer follows the call) and its snapshot
+// methods forward to the wrapped detector's. The only state an adapter
+// adds is per-interval scratch and the last-verdict storage its payload
+// points into — valid until the adapter's next ObserveInterval, and not
+// part of any snapshot.
 
 import (
 	"regionmon/internal/altdetect"
@@ -14,6 +16,7 @@ import (
 	"regionmon/internal/hpm"
 	"regionmon/internal/lpd"
 	"regionmon/internal/region"
+	"regionmon/internal/snap"
 )
 
 // Default detector names used by the adapter constructors.
@@ -32,40 +35,33 @@ const (
 //lint:single-owner
 type GPD struct {
 	det  *gpd.Detector
-	name string   //lint:config -- fixed at construction
-	pcs  []uint64 //lint:config -- scratch, reused across intervals
-	last gpd.Verdict
+	pcs  []uint64    //lint:config -- scratch, reused across intervals
+	last gpd.Verdict //lint:config -- payload storage; rebuilt next interval
 }
 
-// NewGPD wraps det under the default name.
-func NewGPD(det *gpd.Detector) *GPD { return NewNamedGPD(NameGPD, det) }
-
-// NewNamedGPD wraps det under an explicit name (for pipelines carrying
-// several centroid detectors, e.g. threshold ablations).
-func NewNamedGPD(name string, det *gpd.Detector) *GPD {
-	return &GPD{det: det, name: name}
-}
+// NewGPD wraps det under NameGPD.
+func NewGPD(det *gpd.Detector) *GPD { return &GPD{det: det} }
 
 // Name implements PhaseDetector.
-func (g *GPD) Name() string { return g.name }
-
-// Detector exposes the wrapped centroid detector.
-func (g *GPD) Detector() *gpd.Detector { return g.det }
-
-// Last returns the most recent verdict (zero before the first interval).
-func (g *GPD) Last() gpd.Verdict { return g.last }
+func (g *GPD) Name() string { return NameGPD }
 
 // ObserveInterval implements PhaseDetector.
 func (g *GPD) ObserveInterval(ov *hpm.Overflow) Verdict {
 	g.pcs = hpm.PCs(ov, g.pcs[:0])
 	g.last = g.det.ObservePCs(g.pcs)
 	return Verdict{
-		Detector:    g.name,
+		Detector:    NameGPD,
 		Stable:      g.last.State == gpd.Stable,
 		PhaseChange: g.last.PhaseChange,
 		Payload:     &g.last,
 	}
 }
+
+// AppendSnapshot implements Snapshotter.
+func (g *GPD) AppendSnapshot(e *snap.Encoder) error { g.det.AppendSnapshot(e); return nil }
+
+// RestoreSnapshot implements Snapshotter.
+func (g *GPD) RestoreSnapshot(d *snap.Decoder) error { return g.det.RestoreSnapshot(d) }
 
 // RegionMonitor adapts the region monitoring framework (UCR accounting,
 // formation, per-region LPD). Payload: *region.Report.
@@ -79,32 +75,17 @@ func (g *GPD) ObserveInterval(ov *hpm.Overflow) Verdict {
 //lint:single-owner
 type RegionMonitor struct {
 	mon  *region.Monitor
-	name string        //lint:config -- fixed at construction
-	last region.Report //lint:config -- aliases monitor-owned scratch; rebuilt next interval
+	last region.Report //lint:config -- payload storage; rebuilt next interval
 
 	stableW float64 // sample-weighted locally-stable accumulation
 	totalW  float64
 }
 
-// NewRegionMonitor wraps mon under the default name.
-func NewRegionMonitor(mon *region.Monitor) *RegionMonitor {
-	return NewNamedRegionMonitor(NameRegions, mon)
-}
-
-// NewNamedRegionMonitor wraps mon under an explicit name.
-func NewNamedRegionMonitor(name string, mon *region.Monitor) *RegionMonitor {
-	return &RegionMonitor{mon: mon, name: name}
-}
+// NewRegionMonitor wraps mon under NameRegions.
+func NewRegionMonitor(mon *region.Monitor) *RegionMonitor { return &RegionMonitor{mon: mon} }
 
 // Name implements PhaseDetector.
-func (r *RegionMonitor) Name() string { return r.name }
-
-// Monitor exposes the wrapped region monitor.
-func (r *RegionMonitor) Monitor() *region.Monitor { return r.mon }
-
-// Last returns the most recent report (shares storage with the payload;
-// valid until the next interval).
-func (r *RegionMonitor) Last() *region.Report { return &r.last }
+func (r *RegionMonitor) Name() string { return NameRegions }
 
 // WeightedStableFraction returns the whole-run sample-weighted share of
 // monitored samples that landed in locally stable regions — the
@@ -148,16 +129,37 @@ func (r *RegionMonitor) ObserveInterval(ov *hpm.Overflow) Verdict {
 	r.stableW += stableW
 	r.totalW += totalW
 	return Verdict{
-		Detector:    r.name,
+		Detector:    NameRegions,
 		Stable:      totalW > 0 && stableW*2 > totalW,
 		PhaseChange: change,
 		Payload:     &r.last,
 	}
 }
 
-// altDetector is the shared shape of the Section 4 related-work schemes.
-type altDetector interface {
+// AppendSnapshot implements Snapshotter: the monitor's state plus the
+// adapter's weighted-stability accumulators.
+func (r *RegionMonitor) AppendSnapshot(e *snap.Encoder) error {
+	r.mon.AppendSnapshot(e)
+	e.F64(r.stableW)
+	e.F64(r.totalW)
+	return nil
+}
+
+// RestoreSnapshot implements Snapshotter.
+func (r *RegionMonitor) RestoreSnapshot(d *snap.Decoder) error {
+	if err := r.mon.RestoreSnapshot(d); err != nil {
+		return err
+	}
+	r.stableW = d.F64()
+	r.totalW = d.F64()
+	return d.Err()
+}
+
+// altScheme is the shape shared by the Section 4 related-work schemes.
+type altScheme interface {
 	Observe(ov *hpm.Overflow) altdetect.Verdict
+	AppendSnapshot(e *snap.Encoder)
+	RestoreSnapshot(d *snap.Decoder) error
 }
 
 // Alt adapts either Section 4 related-work scheme (basic-block vectors or
@@ -167,31 +169,22 @@ type altDetector interface {
 //
 //lint:single-owner
 type Alt struct {
-	det  altDetector
-	name string //lint:config -- fixed at construction
-	last altdetect.Verdict
+	det  altScheme
+	name string            //lint:config -- fixed at construction
+	last altdetect.Verdict //lint:config -- payload storage; rebuilt next interval
 }
 
-// NewBBV wraps a basic-block-vector detector under the default name.
+// NewBBV wraps a basic-block-vector detector under NameBBV.
 func NewBBV(det *altdetect.BBV) *Alt { return &Alt{det: det, name: NameBBV} }
 
-// NewWorkingSet wraps a working-set-signature detector under the default
-// name.
+// NewWorkingSet wraps a working-set-signature detector under
+// NameWorkingSet.
 func NewWorkingSet(det *altdetect.WorkingSet) *Alt {
 	return &Alt{det: det, name: NameWorkingSet}
 }
 
-// NewNamedAlt wraps any detector with the altdetect Observe shape under an
-// explicit name.
-func NewNamedAlt(name string, det altDetector) *Alt {
-	return &Alt{det: det, name: name}
-}
-
 // Name implements PhaseDetector.
 func (a *Alt) Name() string { return a.name }
-
-// Last returns the most recent verdict.
-func (a *Alt) Last() altdetect.Verdict { return a.last }
 
 // ObserveInterval implements PhaseDetector.
 func (a *Alt) ObserveInterval(ov *hpm.Overflow) Verdict {
@@ -204,8 +197,14 @@ func (a *Alt) ObserveInterval(ov *hpm.Overflow) Verdict {
 	}
 }
 
+// AppendSnapshot implements Snapshotter.
+func (a *Alt) AppendSnapshot(e *snap.Encoder) error { a.det.AppendSnapshot(e); return nil }
+
+// RestoreSnapshot implements Snapshotter.
+func (a *Alt) RestoreSnapshot(d *snap.Decoder) error { return a.det.RestoreSnapshot(d) }
+
 // Perf adapts a performance-characteristic tracker (gpd.PerfTracker) over
-// any scalar per-interval metric. Payload: *gpd.PerfVerdict. Stable is
+// a scalar per-interval metric. Payload: *gpd.PerfVerdict. Stable is
 // "value inside the band"; a flagged change is a phase change in the
 // performance characteristics (the paper's CPI/DPI signal).
 //
@@ -214,25 +213,17 @@ type Perf struct {
 	tr     *gpd.PerfTracker
 	name   string                      //lint:config -- fixed at construction
 	metric func(*hpm.Overflow) float64 //lint:config -- fixed at construction
-	last   gpd.PerfVerdict
+	last   gpd.PerfVerdict             //lint:config -- payload storage; rebuilt next interval
 }
 
-// NewCPI wraps tr over the interval CPI metric.
-func NewCPI(tr *gpd.PerfTracker) *Perf { return NewPerf(NameCPI, tr, hpm.CPI) }
+// NewCPI wraps tr over the interval CPI metric under NameCPI.
+func NewCPI(tr *gpd.PerfTracker) *Perf { return &Perf{tr: tr, name: NameCPI, metric: hpm.CPI} }
 
-// NewDPI wraps tr over the interval DPI metric.
-func NewDPI(tr *gpd.PerfTracker) *Perf { return NewPerf(NameDPI, tr, hpm.DPI) }
-
-// NewPerf wraps tr over an arbitrary per-interval metric.
-func NewPerf(name string, tr *gpd.PerfTracker, metric func(*hpm.Overflow) float64) *Perf {
-	return &Perf{tr: tr, name: name, metric: metric}
-}
+// NewDPI wraps tr over the interval DPI metric under NameDPI.
+func NewDPI(tr *gpd.PerfTracker) *Perf { return &Perf{tr: tr, name: NameDPI, metric: hpm.DPI} }
 
 // Name implements PhaseDetector.
 func (p *Perf) Name() string { return p.name }
-
-// Tracker exposes the wrapped tracker.
-func (p *Perf) Tracker() *gpd.PerfTracker { return p.tr }
 
 // ObserveInterval implements PhaseDetector.
 func (p *Perf) ObserveInterval(ov *hpm.Overflow) Verdict {
@@ -245,49 +236,52 @@ func (p *Perf) ObserveInterval(ov *hpm.Overflow) Verdict {
 	}
 }
 
-// ChangePoint adapts the E-divisive online detector over any scalar
-// per-interval metric (CPI by default). Payload: *changepoint.Verdict.
-// Stable is "no change point confirmed this interval"; a confirmed
-// change point is a phase change in the metric's distribution — the
-// statistically grounded counterpart of the Perf adapter's band check
-// over the same signal.
+// AppendSnapshot implements Snapshotter.
+func (p *Perf) AppendSnapshot(e *snap.Encoder) error { p.tr.AppendSnapshot(e); return nil }
+
+// RestoreSnapshot implements Snapshotter.
+func (p *Perf) RestoreSnapshot(d *snap.Decoder) error { return p.tr.RestoreSnapshot(d) }
+
+// ChangePoint adapts the E-divisive online detector over the interval
+// CPI metric. Payload: *changepoint.Verdict. Stable is "no change point
+// confirmed this interval"; a confirmed change point is a phase change in
+// the metric's distribution — the statistically grounded counterpart of
+// the Perf adapter's band check over the same signal.
 //
 //lint:single-owner
 type ChangePoint struct {
-	det    *changepoint.Detector
-	name   string                      //lint:config -- fixed at construction
-	metric func(*hpm.Overflow) float64 //lint:config -- fixed at construction
-	last   changepoint.Verdict
+	det  *changepoint.Detector
+	last changepoint.Verdict //lint:config -- payload storage; rebuilt next interval
 }
 
-// NewChangePoint wraps det over the interval CPI metric under the
-// default name.
-func NewChangePoint(det *changepoint.Detector) *ChangePoint {
-	return NewNamedChangePoint(NameChangePoint, det, hpm.CPI)
-}
-
-// NewNamedChangePoint wraps det over an arbitrary per-interval metric
-// under an explicit name.
-func NewNamedChangePoint(name string, det *changepoint.Detector, metric func(*hpm.Overflow) float64) *ChangePoint {
-	return &ChangePoint{det: det, name: name, metric: metric}
-}
+// NewChangePoint wraps det under NameChangePoint.
+func NewChangePoint(det *changepoint.Detector) *ChangePoint { return &ChangePoint{det: det} }
 
 // Name implements PhaseDetector.
-func (c *ChangePoint) Name() string { return c.name }
-
-// Detector exposes the wrapped change-point detector.
-func (c *ChangePoint) Detector() *changepoint.Detector { return c.det }
-
-// Last returns the most recent verdict (zero before the first interval).
-func (c *ChangePoint) Last() changepoint.Verdict { return c.last }
+func (c *ChangePoint) Name() string { return NameChangePoint }
 
 // ObserveInterval implements PhaseDetector.
 func (c *ChangePoint) ObserveInterval(ov *hpm.Overflow) Verdict {
-	c.last = c.det.Observe(c.metric(ov))
+	c.last = c.det.Observe(hpm.CPI(ov))
 	return Verdict{
-		Detector:    c.name,
+		Detector:    NameChangePoint,
 		Stable:      !c.last.Changed,
 		PhaseChange: c.last.Changed,
 		Payload:     &c.last,
 	}
 }
+
+// AppendSnapshot implements Snapshotter.
+func (c *ChangePoint) AppendSnapshot(e *snap.Encoder) error { c.det.AppendSnapshot(e); return nil }
+
+// RestoreSnapshot implements Snapshotter.
+func (c *ChangePoint) RestoreSnapshot(d *snap.Decoder) error { return c.det.RestoreSnapshot(d) }
+
+// Interface conformance for every built-in adapter.
+var (
+	_ Snapshotter = (*GPD)(nil)
+	_ Snapshotter = (*RegionMonitor)(nil)
+	_ Snapshotter = (*Alt)(nil)
+	_ Snapshotter = (*Perf)(nil)
+	_ Snapshotter = (*ChangePoint)(nil)
+)

@@ -49,10 +49,10 @@ type Verdict struct {
 	// state diagrams).
 	PhaseChange bool
 	// Payload carries the detector-specific verdict: *gpd.Verdict,
-	// *region.Report, *altdetect.Verdict or *gpd.PerfVerdict for the
-	// built-in adapters. The pointee is owned by the detector and is
-	// valid only until its next ObserveInterval call; consumers that
-	// retain it must copy.
+	// *region.Report, *altdetect.Verdict, *gpd.PerfVerdict or
+	// *changepoint.Verdict for the built-in adapters. The pointee is
+	// owned by the detector and is valid only until its next
+	// ObserveInterval call; consumers that retain it must copy.
 	Payload any
 }
 
@@ -178,18 +178,13 @@ func (p *Pipeline) Detector(name string) PhaseDetector {
 	return nil
 }
 
-// AddObserver attaches a per-interval hook and returns its slot (usable
-// with SetObserver to replace it later). Observers run after every
-// detector has observed the interval, in attachment order.
-func (p *Pipeline) AddObserver(fn Observer) int {
-	p.observers = append(p.observers, fn)
-	return len(p.observers) - 1
-}
-
-// SetObserver replaces the observer in the given slot (as returned by
-// AddObserver). A nil fn clears the slot without shifting the others.
-func (p *Pipeline) SetObserver(slot int, fn Observer) {
-	p.observers[slot] = fn
+// AddObserver attaches a per-interval hook (nil is ignored). Observers
+// run after every detector has observed the interval, in attachment
+// order.
+func (p *Pipeline) AddObserver(fn Observer) {
+	if fn != nil {
+		p.observers = append(p.observers, fn)
+	}
 }
 
 // Stats returns the named detector's aggregate counters (zero value for
@@ -260,9 +255,7 @@ func (p *Pipeline) ObserveBatch(ovs []*hpm.Overflow) {
 			}
 		}
 		for _, fn := range p.observers {
-			if fn != nil {
-				fn(&p.rep)
-			}
+			fn(&p.rep)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"strings"
 	"testing"
 
 	"regionmon/internal/altdetect"
@@ -49,13 +50,14 @@ func spanPCs(span isa.LoopSpan, k int) []isa.Addr {
 
 // fullPipeline builds a pipeline with all detector families attached
 // (including the E-divisive change-point detector over CPI), returning
-// the principal adapters for inspection.
-func fullPipeline(t testing.TB, prog *isa.Program) (*Pipeline, *GPD, *RegionMonitor, *Alt, *Alt) {
+// the centroid detector, the region monitor and its adapter for
+// inspection.
+func fullPipeline(t testing.TB, prog *isa.Program) (*Pipeline, *gpd.Detector, *region.Monitor, *RegionMonitor) {
 	t.Helper()
 	return fullPipelineCfg(t, prog, region.DefaultConfig())
 }
 
-func fullPipelineCfg(t testing.TB, prog *isa.Program, rcfg region.Config) (*Pipeline, *GPD, *RegionMonitor, *Alt, *Alt) {
+func fullPipelineCfg(t testing.TB, prog *isa.Program, rcfg region.Config) (*Pipeline, *gpd.Detector, *region.Monitor, *RegionMonitor) {
 	t.Helper()
 	gdet, err := gpd.New(gpd.DefaultConfig())
 	if err != nil {
@@ -78,22 +80,25 @@ func fullPipelineCfg(t testing.TB, prog *isa.Program, rcfg region.Config) (*Pipe
 		t.Fatal(err)
 	}
 	pipe := New()
-	ga := NewGPD(gdet)
 	ra := NewRegionMonitor(rmon)
-	ba := NewBBV(bbv)
-	wa := NewWorkingSet(ws)
-	ca := NewChangePoint(cpd)
-	for _, d := range []PhaseDetector{ga, ra, ba, wa, ca} {
+	for _, d := range []PhaseDetector{NewGPD(gdet), ra, NewBBV(bbv), NewWorkingSet(ws), NewChangePoint(cpd)} {
 		if err := pipe.Register(d); err != nil {
 			t.Fatalf("Register(%s): %v", d.Name(), err)
 		}
 	}
-	return pipe, ga, ra, ba, wa
+	return pipe, gdet, rmon, ra
 }
+
+// namedDetector is a do-nothing detector registered under its own value.
+type namedDetector string
+
+func (n namedDetector) Name() string { return string(n) }
+
+func (n namedDetector) ObserveInterval(*hpm.Overflow) Verdict { return Verdict{Detector: string(n)} }
 
 func TestRegisterValidation(t *testing.T) {
 	prog, _, _ := testProgram(t)
-	pipe, _, _, _, _ := fullPipeline(t, prog)
+	pipe, _, _, _ := fullPipeline(t, prog)
 	if err := pipe.Register(nil); err == nil {
 		t.Error("nil detector accepted")
 	}
@@ -101,7 +106,7 @@ func TestRegisterValidation(t *testing.T) {
 	if err := pipe.Register(NewGPD(gdet)); err == nil {
 		t.Error("duplicate name accepted")
 	}
-	if err := pipe.Register(NewNamedGPD("", gdet)); err == nil {
+	if err := pipe.Register(namedDetector("")); err == nil {
 		t.Error("empty name accepted")
 	}
 	if pipe.Detector(NameGPD) == nil || pipe.Detector("nope") != nil {
@@ -114,7 +119,7 @@ func TestRegisterValidation(t *testing.T) {
 
 func TestFanOutMergesAllDetectors(t *testing.T) {
 	prog, l1, _ := testProgram(t)
-	pipe, ga, ra, _, _ := fullPipeline(t, prog)
+	pipe, gdet, rmon, ra := fullPipeline(t, prog)
 
 	var observed int
 	pipe.AddObserver(func(rep *IntervalReport) {
@@ -154,8 +159,8 @@ func TestFanOutMergesAllDetectors(t *testing.T) {
 
 	// Steady stream: GPD ends stable, every adapter agrees with its
 	// underlying detector's counters.
-	if ga.Detector().State() != gpd.Stable {
-		t.Errorf("gpd state = %v; want stable on steady stream", ga.Detector().State())
+	if gdet.State() != gpd.Stable {
+		t.Errorf("gpd state = %v; want stable on steady stream", gdet.State())
 	}
 	st := pipe.Stats(NameGPD)
 	if st.Intervals != intervals {
@@ -165,7 +170,7 @@ func TestFanOutMergesAllDetectors(t *testing.T) {
 		t.Error("gpd never stable in pipeline stats")
 	}
 	// Region monitor formed the loop region and judged it stable.
-	if len(ra.Monitor().Regions()) == 0 {
+	if len(rmon.Regions()) == 0 {
 		t.Fatal("no regions formed")
 	}
 	if f := ra.WeightedStableFraction(); f < 0.5 {
@@ -175,7 +180,7 @@ func TestFanOutMergesAllDetectors(t *testing.T) {
 
 func TestVerdictPayloads(t *testing.T) {
 	prog, l1, _ := testProgram(t)
-	pipe, _, _, _, _ := fullPipeline(t, prog)
+	pipe, _, _, _ := fullPipeline(t, prog)
 	pcs := spanPCs(l1, 4)
 	var rep *IntervalReport
 	for seq := 0; seq < 8; seq++ {
@@ -217,20 +222,18 @@ func TestPerfAdapter(t *testing.T) {
 	}
 }
 
-func TestObserverSlots(t *testing.T) {
+func TestObserversRunInAttachmentOrder(t *testing.T) {
 	pipe := New()
-	gdet := gpd.MustNew(gpd.DefaultConfig())
-	pipe.MustRegister(NewGPD(gdet))
-	var a, b int
-	slotA := pipe.AddObserver(func(*IntervalReport) { a++ })
-	pipe.AddObserver(func(*IntervalReport) { b++ })
+	pipe.MustRegister(NewGPD(gpd.MustNew(gpd.DefaultConfig())))
+	var order []string
+	pipe.AddObserver(func(*IntervalReport) { order = append(order, "a") })
+	pipe.AddObserver(nil)
+	pipe.AddObserver(func(*IntervalReport) { order = append(order, "b") })
 	ov := &hpm.Overflow{Samples: []hpm.Sample{{PC: 0x10000, Instrs: 1}}}
 	pipe.ProcessOverflow(ov)
-	// Replace slot A; B keeps running.
-	pipe.SetObserver(slotA, nil)
 	pipe.ProcessOverflow(ov)
-	if a != 1 || b != 2 {
-		t.Errorf("a = %d, b = %d; want 1, 2", a, b)
+	if got := strings.Join(order, ""); got != "abab" {
+		t.Errorf("observer calls %q; want %q", got, "abab")
 	}
 }
 
@@ -246,7 +249,7 @@ func TestObserveBatchMatchesPerItem(t *testing.T) {
 	}
 	drive := func(batch int) ([]event, DetectorStats) {
 		prog, l1, l2 := testProgram(t)
-		pipe, _, _, _, _ := fullPipeline(t, prog)
+		pipe, _, _, _ := fullPipeline(t, prog)
 		var events []event
 		pipe.AddObserver(func(rep *IntervalReport) {
 			// Copy: the report and its payloads are reused per interval.
@@ -334,13 +337,13 @@ func TestHotPathAllocs(t *testing.T) {
 			prog, l1, l2 := testProgram(t)
 			rcfg := region.DefaultConfig()
 			rcfg.Index = kind.index
-			pipe, _, ra, _, _ := fullPipelineCfg(t, prog, rcfg)
+			pipe, _, rmon, _ := fullPipelineCfg(t, prog, rcfg)
 			pcs := append(spanPCs(l1, 8), spanPCs(l2, 8)...)
 			for seq := 0; seq < 64; seq++ { // warm-up: form regions, fill scratch
 				pipe.ProcessOverflow(overflow(seq, 128, pcs...))
 			}
-			if len(ra.Monitor().Regions()) < 2 {
-				t.Fatalf("regions = %d; want 2 before measuring", len(ra.Monitor().Regions()))
+			if len(rmon.Regions()) < 2 {
+				t.Fatalf("regions = %d; want 2 before measuring", len(rmon.Regions()))
 			}
 			ov := overflow(64, 128, pcs...)
 			avg := testing.AllocsPerRun(200, func() {

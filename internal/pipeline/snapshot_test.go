@@ -35,7 +35,7 @@ func TestPipelineSnapshotForkEquality(t *testing.T) {
 	const total, cut = 90, 37
 
 	// Reference: uninterrupted run over the full stream.
-	ref, _, _, _, _ := fullPipeline(t, prog)
+	ref, _, _, _ := fullPipeline(t, prog)
 	var refV [][]Verdict
 	ref.AddObserver(func(rep *IntervalReport) { refV = append(refV, commonVerdicts(rep)) })
 	for i := 0; i < total; i++ {
@@ -43,7 +43,7 @@ func TestPipelineSnapshotForkEquality(t *testing.T) {
 	}
 
 	// Primary: run to the cut, snapshot, and keep going.
-	prim, _, _, _, _ := fullPipeline(t, prog)
+	prim, _, _, _ := fullPipeline(t, prog)
 	for i := 0; i < cut; i++ {
 		prim.ProcessOverflow(pipeStream(i, l1, l2))
 	}
@@ -61,7 +61,7 @@ func TestPipelineSnapshotForkEquality(t *testing.T) {
 
 	// Fork: a fresh identically configured pipeline restored from the
 	// snapshot must replay the rest of the stream identically.
-	fork, _, _, _, _ := fullPipeline(t, prog)
+	fork, _, _, _ := fullPipeline(t, prog)
 	if err := fork.Restore(s1); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
@@ -109,7 +109,7 @@ func TestPipelineSnapshotForkEquality(t *testing.T) {
 
 func TestPipelineRestoreRejectsMismatch(t *testing.T) {
 	prog, _, _ := testProgram(t)
-	pipe, _, _, _, _ := fullPipeline(t, prog)
+	pipe, _, _, _ := fullPipeline(t, prog)
 	snap, err := pipe.Snapshot()
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)
@@ -128,5 +128,60 @@ func TestPipelineRestoreRejectsMismatch(t *testing.T) {
 	}
 	if err := pipe.Restore([]byte("not a snapshot")); err == nil {
 		t.Error("Restore accepted garbage")
+	}
+}
+
+// TestPipelineRestoreAllOrNothing: a snapshot that fails part-way — here
+// in the last detector's section — must leave the pipeline exactly as it
+// was, not with the earlier detectors already restored. A blob of the
+// version-1 layout is rejected the same way.
+func TestPipelineRestoreAllOrNothing(t *testing.T) {
+	prog, l1, l2 := testProgram(t)
+	src, _, _, _ := fullPipeline(t, prog)
+	for i := 0; i < 60; i++ {
+		src.ProcessOverflow(pipeStream(i, l1, l2))
+	}
+	good, err := src.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+
+	// Break the change-point detector's component tag; it is registered
+	// last, so every other detector decodes first.
+	corrupt := append([]byte(nil), good...)
+	at := bytes.LastIndex(corrupt, []byte("chgpt"))
+	if at < 0 {
+		t.Fatal("change-point section not found in snapshot")
+	}
+	corrupt[at] = 'x'
+	// Relabel the blob as version 1; the version byte follows the tag.
+	v1 := append([]byte(nil), good...)
+	v1[8+len(pipelineTag)] = 1
+
+	dst, _, _, _ := fullPipeline(t, prog)
+	for i := 0; i < 25; i++ {
+		dst.ProcessOverflow(pipeStream(i, l1, l2))
+	}
+	before, err := dst.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	for _, c := range []struct {
+		name string
+		blob []byte
+	}{{"corrupt last detector", corrupt}, {"version 1", v1}} {
+		if err := dst.Restore(c.blob); err == nil {
+			t.Errorf("%s: Restore succeeded", c.name)
+		}
+		after, err := dst.Snapshot()
+		if err != nil {
+			t.Fatalf("%s: Snapshot after failed Restore: %v", c.name, err)
+		}
+		if !bytes.Equal(after, before) {
+			t.Errorf("%s: failed Restore changed the pipeline", c.name)
+		}
+	}
+	if err := dst.Restore(good); err != nil {
+		t.Fatalf("Restore of the intact snapshot: %v", err)
 	}
 }

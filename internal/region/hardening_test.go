@@ -1,10 +1,13 @@
 package region
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"regionmon/internal/hpm"
 	"regionmon/internal/isa"
+	"regionmon/internal/snap"
 )
 
 // TestNewRegionSurvivesQuietFormationInterval is the regression test for
@@ -294,5 +297,35 @@ func TestMonitorRestoreRejectsMismatch(t *testing.T) {
 
 	if err := m.Restore([]byte("not a snapshot")); err == nil {
 		t.Error("expected decode error on garbage")
+	}
+}
+
+// TestMonitorRestoreRejectsHugeRegionCount: a corrupt region count must
+// fail the restore, not size an allocation. With the default MaxRegions
+// (no cap) a count of 2^40 used to reach make and kill the process.
+func TestMonitorRestoreRejectsHugeRegionCount(t *testing.T) {
+	prog, l1, _ := testProgram(t)
+	m := newMonitor(t, prog, nil)
+	m.ProcessOverflow(overflow(0, 64, spanPCs(l1, 8)...))
+	blob := m.Snapshot()
+
+	// The count follows the header, the two counters and the UCR history.
+	e := snap.NewEncoder()
+	e.Header(monitorTag, 1)
+	e.Int(m.seq)
+	e.Int(m.nextID)
+	m.ucr.AppendSnapshot(e)
+	at := e.Len()
+	if got := int(binary.LittleEndian.Uint64(blob[at:])); got != len(m.Regions()) {
+		t.Fatalf("region count at offset %d reads %d; want %d", at, got, len(m.Regions()))
+	}
+	binary.LittleEndian.PutUint64(blob[at:], 1<<40)
+
+	before := m.Snapshot()
+	if err := m.Restore(blob); err == nil {
+		t.Fatal("Restore accepted a region count of 2^40")
+	}
+	if !bytes.Equal(m.Snapshot(), before) {
+		t.Error("failed restore mutated the monitor")
 	}
 }

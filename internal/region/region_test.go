@@ -330,27 +330,6 @@ func TestIndexPathsAgree(t *testing.T) {
 	}
 }
 
-// TestLegacyUseIntervalTree pins the back-compat contract: the old boolean
-// still selects the tree when Index is left at its zero value, and is
-// ignored once Index is set explicitly.
-func TestLegacyUseIntervalTree(t *testing.T) {
-	cases := []struct {
-		cfg  Config
-		want IndexKind
-	}{
-		{Config{}, IndexEpoch},
-		{Config{UseIntervalTree: true}, IndexTree},
-		{Config{Index: IndexList, UseIntervalTree: true}, IndexList},
-		{Config{Index: IndexTree}, IndexTree},
-	}
-	for _, c := range cases {
-		if got := c.cfg.indexKind(); got != c.want {
-			t.Errorf("indexKind(Index=%v, UseIntervalTree=%v) = %v; want %v",
-				c.cfg.Index, c.cfg.UseIntervalTree, got, c.want)
-		}
-	}
-}
-
 func TestUCRHistoryIsCopied(t *testing.T) {
 	prog, l1, _ := testProgram(t)
 	m := newMonitor(t, prog, nil)

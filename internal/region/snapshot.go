@@ -73,12 +73,11 @@ func (m *Monitor) RestoreSnapshot(dec *snap.Decoder) error {
 		return err
 	}
 
-	count := dec.Int()
+	// Len bounds the count by the remaining input, so a corrupt count
+	// cannot size the allocation below.
+	count := dec.Len()
 	if err := dec.Err(); err != nil {
 		return err
-	}
-	if count < 0 {
-		return fmt.Errorf("region: snapshot region count %d < 0", count)
 	}
 	if m.cfg.MaxRegions > 0 && count > m.cfg.MaxRegions {
 		return fmt.Errorf("region: snapshot has %d regions, exceeds cap %d", count, m.cfg.MaxRegions)

@@ -210,6 +210,11 @@ func (s *Series) RestoreSnapshot(d *snap.Decoder) error {
 			return fmt.Errorf("stats: series snapshot holds %d values, exceeds capacity %d", n, capa)
 		}
 	}
+	// Check the whole payload is present before Reset, so a truncated
+	// snapshot leaves the series untouched.
+	if n > d.Remaining()/8 {
+		return fmt.Errorf("stats: series snapshot holds %d values, only %d bytes remain", n, d.Remaining())
+	}
 	s.Reset()
 	if s.unbounded {
 		if cap(s.buf) < n {
@@ -268,6 +273,9 @@ func (w *Window) RestoreSnapshot(d *snap.Decoder) error {
 	}
 	if n > capa {
 		return fmt.Errorf("stats: window snapshot holds %d values, exceeds capacity %d", n, capa)
+	}
+	if n > d.Remaining()/8 {
+		return fmt.Errorf("stats: window snapshot holds %d values, only %d bytes remain", n, d.Remaining())
 	}
 	w.Reset()
 	for i := 0; i < n; i++ {

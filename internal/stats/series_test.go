@@ -240,6 +240,51 @@ func TestSeriesSnapshotMismatch(t *testing.T) {
 	}
 }
 
+// TestSnapshotRestoreTruncatedLeavesTargetUnchanged: a snapshot cut off
+// inside its values passes the length-prefix bound (n values need 8n
+// bytes, the bound only checks n) and must still fail before the target
+// is reset, leaving its contents as they were.
+func TestSnapshotRestoreTruncatedLeavesTargetUnchanged(t *testing.T) {
+	type target interface {
+		AppendSnapshot(*snap.Encoder)
+		RestoreSnapshot(*snap.Decoder) error
+	}
+	snapOf := func(x target) string {
+		e := snap.NewEncoder()
+		x.AppendSnapshot(e)
+		return string(e.Bytes())
+	}
+	series := func(s *Series, base float64) *Series {
+		for i := 0; i < 6; i++ {
+			s.Append(base + float64(i))
+		}
+		return s
+	}
+	window := func(w *Window, base float64) *Window {
+		for i := 0; i < 6; i++ {
+			w.Add(base + float64(i))
+		}
+		return w
+	}
+	for _, c := range []struct {
+		name     string
+		src, dst target
+	}{
+		{"bounded", series(NewSeries(8), 100), series(NewSeries(8), 1)},
+		{"unbounded", series(NewUnboundedSeries(), 100), series(NewUnboundedSeries(), 1)},
+		{"window", window(NewWindow(8), 100), window(NewWindow(8), 1)},
+	} {
+		blob := snapOf(c.src)
+		before := snapOf(c.dst)
+		if err := c.dst.RestoreSnapshot(snap.NewDecoder([]byte(blob[:len(blob)-4]))); err == nil {
+			t.Errorf("%s: restore of a truncated snapshot succeeded", c.name)
+		}
+		if snapOf(c.dst) != before {
+			t.Errorf("%s: failed restore changed the target", c.name)
+		}
+	}
+}
+
 func TestWindowSnapshotRoundTrip(t *testing.T) {
 	w := NewWindow(8)
 	// Enough adds to wrap the ring and accumulate float drift in sum/sum2.

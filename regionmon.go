@@ -260,17 +260,6 @@ type (
 	PipelineReport = pipeline.IntervalReport
 	// Observer is a per-interval pipeline hook.
 	Observer = pipeline.Observer
-	// GPDAdapter presents a GlobalDetector as a PhaseDetector.
-	GPDAdapter = pipeline.GPD
-	// RegionAdapter presents a RegionMonitor as a PhaseDetector.
-	RegionAdapter = pipeline.RegionMonitor
-	// AltAdapter presents a related-work detector as a PhaseDetector.
-	AltAdapter = pipeline.Alt
-	// PerfAdapter presents a PerfTracker as a PhaseDetector.
-	PerfAdapter = pipeline.Perf
-	// ChangePointAdapter presents a ChangePointDetector as a
-	// PhaseDetector.
-	ChangePointAdapter = pipeline.ChangePoint
 	// Snapshotter is implemented by detectors that support the
 	// checkpoint/resume protocol (every built-in adapter does); a
 	// Pipeline or System snapshots only if all its detectors do.
@@ -292,30 +281,30 @@ const (
 func NewPipeline() *Pipeline { return pipeline.New() }
 
 // AdaptGPD presents det as a pipeline PhaseDetector named DetectorGPD.
-func AdaptGPD(det *GlobalDetector) *GPDAdapter { return pipeline.NewGPD(det) }
+func AdaptGPD(det *GlobalDetector) PhaseDetector { return pipeline.NewGPD(det) }
 
 // AdaptRegionMonitor presents mon as a pipeline PhaseDetector named
 // DetectorRegions.
-func AdaptRegionMonitor(mon *RegionMonitor) *RegionAdapter {
+func AdaptRegionMonitor(mon *RegionMonitor) PhaseDetector {
 	return pipeline.NewRegionMonitor(mon)
 }
 
 // AdaptBBV presents det as a pipeline PhaseDetector named DetectorBBV.
-func AdaptBBV(det *BBVDetector) *AltAdapter { return pipeline.NewBBV(det) }
+func AdaptBBV(det *BBVDetector) PhaseDetector { return pipeline.NewBBV(det) }
 
 // AdaptWorkingSet presents det as a pipeline PhaseDetector named
 // DetectorWorkingSet.
-func AdaptWorkingSet(det *WorkingSetDetector) *AltAdapter {
+func AdaptWorkingSet(det *WorkingSetDetector) PhaseDetector {
 	return pipeline.NewWorkingSet(det)
 }
 
 // AdaptCPI presents tr as a pipeline PhaseDetector over the interval CPI
 // metric, named DetectorCPI.
-func AdaptCPI(tr *PerfTracker) *PerfAdapter { return pipeline.NewCPI(tr) }
+func AdaptCPI(tr *PerfTracker) PhaseDetector { return pipeline.NewCPI(tr) }
 
 // AdaptDPI presents tr as a pipeline PhaseDetector over the interval DPI
 // metric, named DetectorDPI.
-func AdaptDPI(tr *PerfTracker) *PerfAdapter { return pipeline.NewDPI(tr) }
+func AdaptDPI(tr *PerfTracker) PhaseDetector { return pipeline.NewDPI(tr) }
 
 // E-divisive change-point detection (internal/changepoint): the
 // statistically grounded counterpart of the PerfTracker band check, and
@@ -349,7 +338,7 @@ func NewChangePointDetector(cfg ChangePointConfig) (*ChangePointDetector, error)
 
 // AdaptChangePoint presents det as a pipeline PhaseDetector over the
 // interval CPI metric, named DetectorChange.
-func AdaptChangePoint(det *ChangePointDetector) *ChangePointAdapter {
+func AdaptChangePoint(det *ChangePointDetector) PhaseDetector {
 	return pipeline.NewChangePoint(det)
 }
 

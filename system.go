@@ -10,24 +10,6 @@ import (
 	"regionmon/internal/sim"
 )
 
-// IntervalReport is delivered to a System's legacy observer (Observe)
-// after every sampling interval (sample-buffer overflow), carrying both
-// built-in detectors' views. New code should prefer AddObserver, which
-// receives the pipeline's merged report covering every registered
-// detector.
-type IntervalReport struct {
-	// Seq is the overflow sequence number.
-	Seq int
-	// Cycle is the absolute cycle at the end of the interval.
-	Cycle uint64
-	// Global is the centroid detector's verdict.
-	Global GlobalVerdict
-	// Regions is the region monitor's report (UCR, formation, per-region
-	// verdicts). Its Verdicts slice is reused across intervals; copy to
-	// retain.
-	Regions RegionReport
-}
-
 // SystemStats summarizes a completed System run.
 type SystemStats struct {
 	// Exec carries cycle and instruction totals.
@@ -57,15 +39,10 @@ type SystemStats struct {
 //
 //lint:single-owner
 type System struct {
-	prog *Program //lint:config -- fixed at construction
-
 	exec *sim.Executor //lint:config -- owns no snapshot state of its own
-	mon  *hpm.Monitor  //lint:config -- snapshotted through pipe's detector set
 	pipe *pipeline.Pipeline
-	ga   *pipeline.GPD           //lint:config -- aliases a pipe-owned detector
-	ra   *pipeline.RegionMonitor //lint:config -- aliases a pipe-owned detector
-
-	legacySlot int //lint:config -- pipeline observer slot backing Observe; -1 when unused
+	gdet *gpd.Detector   //lint:config -- aliases a pipe-owned detector
+	rmon *region.Monitor //lint:config -- aliases a pipe-owned detector
 }
 
 // SystemConfig bundles a System's tunables; the zero value of each field
@@ -94,7 +71,6 @@ func NewSystem(prog *Program, sched *Schedule, cfg SystemConfig) (*System, error
 	if cfg.Region != nil {
 		rcfg = *cfg.Region
 	}
-	s := &System{prog: prog, legacySlot: -1}
 	gdet, err := gpd.New(gcfg)
 	if err != nil {
 		return nil, err
@@ -103,16 +79,13 @@ func NewSystem(prog *Program, sched *Schedule, cfg SystemConfig) (*System, error
 	if err != nil {
 		return nil, err
 	}
-	s.pipe = pipeline.New()
-	s.ga = pipeline.NewGPD(gdet)
-	s.ra = pipeline.NewRegionMonitor(rmon)
-	s.pipe.MustRegister(s.ga)
-	s.pipe.MustRegister(s.ra)
+	s := &System{pipe: pipeline.New(), gdet: gdet, rmon: rmon}
+	s.pipe.MustRegister(pipeline.NewGPD(gdet))
+	s.pipe.MustRegister(pipeline.NewRegionMonitor(rmon))
 	mon, err := hpm.New(cfg.Sampling, func(ov *hpm.Overflow) { s.pipe.ProcessOverflow(ov) })
 	if err != nil {
 		return nil, err
 	}
-	s.mon = mon
 	exec, err := sim.NewExecutor(prog, sched, mon)
 	if err != nil {
 		return nil, err
@@ -121,37 +94,10 @@ func NewSystem(prog *Program, sched *Schedule, cfg SystemConfig) (*System, error
 	return s, nil
 }
 
-// Observe registers fn to be called after every sampling interval.
-//
-// Deprecated: Observe keeps its historical replacement semantics — a
-// second call replaces the first call's observer (only the observer
-// Observe itself registered; hooks added via AddObserver or directly on
-// the pipeline are untouched). New code should use AddObserver, which
-// supports any number of observers and delivers the full pipeline
-// report.
-func (s *System) Observe(fn func(IntervalReport)) {
-	var hook Observer
-	if fn != nil {
-		hook = func(rep *PipelineReport) {
-			fn(IntervalReport{
-				Seq:     rep.Seq,
-				Cycle:   rep.Cycle,
-				Global:  s.ga.Last(),
-				Regions: *s.ra.Last(),
-			})
-		}
-	}
-	if s.legacySlot < 0 {
-		s.legacySlot = s.pipe.AddObserver(hook)
-		return
-	}
-	s.pipe.SetObserver(s.legacySlot, hook)
-}
-
-// AddObserver attaches a per-interval hook to the System's pipeline and
-// returns its slot. Any number of observers may be attached; they run in
-// attachment order after every detector has observed the interval.
-func (s *System) AddObserver(fn Observer) int { return s.pipe.AddObserver(fn) }
+// AddObserver attaches a per-interval hook to the System's pipeline. Any
+// number of observers may be attached; they run in attachment order
+// after every detector has observed the interval.
+func (s *System) AddObserver(fn Observer) { s.pipe.AddObserver(fn) }
 
 // Pipeline exposes the System's detector pipeline, e.g. to register
 // additional detectors (BBV, working-set, CPI trackers) before Run or to
@@ -159,10 +105,10 @@ func (s *System) AddObserver(fn Observer) int { return s.pipe.AddObserver(fn) }
 func (s *System) Pipeline() *Pipeline { return s.pipe }
 
 // GlobalDetector exposes the attached centroid detector.
-func (s *System) GlobalDetector() *GlobalDetector { return s.ga.Detector() }
+func (s *System) GlobalDetector() *GlobalDetector { return s.gdet }
 
 // RegionMonitor exposes the attached region monitor.
-func (s *System) RegionMonitor() *RegionMonitor { return s.ra.Monitor() }
+func (s *System) RegionMonitor() *RegionMonitor { return s.rmon }
 
 // Executor exposes the underlying executor (e.g. to deploy optimizations
 // manually).
@@ -186,14 +132,12 @@ func (s *System) Restore(data []byte) error { return s.pipe.Restore(data) }
 // Run executes the schedule to completion and returns the run summary.
 func (s *System) Run() SystemStats {
 	res := s.exec.Run()
-	gdet := s.ga.Detector()
-	rmon := s.ra.Monitor()
 	return SystemStats{
 		Exec:                 res,
 		Intervals:            s.pipe.Intervals(),
-		GlobalPhaseChanges:   gdet.PhaseChanges(),
-		GlobalStableFraction: gdet.StableFraction(),
-		UCRMedian:            rmon.UCRMedian(),
-		Regions:              len(rmon.Regions()),
+		GlobalPhaseChanges:   s.gdet.PhaseChanges(),
+		GlobalStableFraction: s.gdet.StableFraction(),
+		UCRMedian:            s.rmon.UCRMedian(),
+		Regions:              len(s.rmon.Regions()),
 	}
 }
