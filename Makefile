@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race race-hot bench benchingest ingest-smoke ingest-batch-smoke benchregion region-smoke benchwatch benchwatch-smoke soak soak-short perfbench-check check
+.PHONY: all build vet lint test race race-hot bench fuzz-smoke benchingest ingest-smoke ingest-batch-smoke benchregion region-smoke benchwatch benchwatch-smoke soak soak-short perfbench-check check
 
 all: check
 
@@ -40,6 +40,17 @@ race-hot:
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSystemRun|BenchmarkFig13' -benchtime 1x -benchmem ./.
 	$(GO) test -run '^$$' -bench 'BenchmarkObserve|BenchmarkPearson' -benchtime 1x -benchmem ./internal/lpd/ ./internal/stats/
+	$(GO) test -run '^$$' -bench 'BenchmarkDetectorObserve' -benchtime 1x -benchmem ./internal/changepoint/
+
+# Run each native fuzz target for 10s: the early-stopping change-point
+# engine against its full-permutation reference on arbitrary series
+# (NaN/Inf included), and detector Restore on arbitrary bytes (error and
+# an untouched detector, or a byte-equal re-snapshot). New-coverage
+# inputs are minimized for at most 1s, so minimizing cannot eat the run.
+# A failing input is written under internal/changepoint/testdata/fuzz/.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDetectMatchesReference$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/changepoint/
+	$(GO) test -run '^$$' -fuzz '^FuzzDetectorRestore$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/changepoint/
 
 # Regenerate the committed ingest throughput baseline: streams/sec through
 # full detector stacks at 1/4/16/64 shards, per-push vs batched, over a
@@ -107,4 +118,4 @@ soak-short:
 perfbench-check:
 	cd _perfbench && $(GO) vet ./... && $(GO) test ./...
 
-check: build lint test perfbench-check bench ingest-smoke ingest-batch-smoke region-smoke benchwatch benchwatch-smoke soak-short
+check: build lint test perfbench-check bench fuzz-smoke ingest-smoke ingest-batch-smoke region-smoke benchwatch benchwatch-smoke soak-short

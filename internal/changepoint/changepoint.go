@@ -22,7 +22,10 @@
 //     turning perf history into a CI-checked invariant.
 package changepoint
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // EngineConfig parameterizes the offline engine. The zero value is not
 // valid; start from DefaultEngineConfig.
@@ -30,6 +33,9 @@ type EngineConfig struct {
 	// Permutations is the number of random re-orderings per segment test.
 	// The smallest achievable p-value is 1/(Permutations+1), so with 19
 	// permutations a split must beat every re-ordering to reach p = 0.05.
+	// The test stops at the first exceedance that pushes the p-value past
+	// Alpha, so a non-significant segment usually runs only a few rounds;
+	// only significant splits pay for all Permutations.
 	Permutations int
 	// Alpha is the significance level: a split is a change point when
 	// its permutation p-value is <= Alpha.
@@ -45,7 +51,9 @@ type EngineConfig struct {
 // segment 8. Alpha sits at the resolution floor, so a split must beat
 // every permutation to count — an online detector evaluating every few
 // dozen intervals needs the per-test false-positive rate this low or
-// spurious "changes" accumulate over a long run.
+// spurious "changes" accumulate over a long run. It also makes the
+// first exceedance decisive: a non-significant segment stops there, and
+// only a significant split runs all 99 permutations.
 func DefaultEngineConfig() EngineConfig {
 	return EngineConfig{Permutations: 99, Alpha: 0.01, MinSegment: 8}
 }
@@ -140,7 +148,10 @@ func (e *Engine) Detect(xs []float64, seed uint64, dst []ChangePoint) []ChangePo
 			continue
 		}
 		tau, stat := bestSplit(xs[sp.start:sp.end], e.cfg.MinSegment)
-		if tau < 0 {
+		// A NaN or infinite value in the segment makes the statistic
+		// non-finite; no permutation compares >= NaN, so testing it would
+		// report the minimum p-value for a split that means nothing.
+		if tau < 0 || math.IsNaN(stat) || math.IsInf(stat, 0) {
 			continue
 		}
 		p := e.permutationPValue(xs[sp.start:sp.end], stat)
@@ -156,6 +167,15 @@ func (e *Engine) Detect(xs []float64, seed uint64, dst []ChangePoint) []ChangePo
 
 // permutationPValue estimates how often a random re-ordering of seg
 // produces a best-split statistic at least as large as stat.
+//
+// The test is sequential (Besag & Clifford, "Sequential Monte Carlo
+// p-values", Biometrika 1991): the exceedance count only grows, so once
+// the running p-value (1+exceed)/(1+Permutations) is above Alpha the
+// segment is decided non-significant, and the loop stops there. Detect
+// discards such a p-value, so the early return changes no output. The
+// PRNG then jumps past the skipped rounds: splitmix64 adds a constant per
+// call and each round makes len(seg)-1 calls, so every later segment
+// draws exactly the stream a full run would have left it.
 func (e *Engine) permutationPValue(seg []float64, stat float64) float64 {
 	buf := e.perm[:len(seg)]
 	copy(buf, seg)
@@ -169,6 +189,10 @@ func (e *Engine) permutationPValue(seg []float64, stat float64) float64 {
 		}
 		if _, q := bestSplit(buf, e.cfg.MinSegment); q >= stat {
 			exceed++
+			if p := float64(1+exceed) / float64(1+e.cfg.Permutations); p > e.cfg.Alpha {
+				e.rng += uint64(e.cfg.Permutations-1-r) * uint64(len(seg)-1) * 0x9e3779b97f4a7c15
+				return p
+			}
 		}
 	}
 	return float64(1+exceed) / float64(1+e.cfg.Permutations)

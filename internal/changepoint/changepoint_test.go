@@ -1,6 +1,7 @@
 package changepoint
 
 import (
+	"math"
 	"testing"
 )
 
@@ -194,5 +195,27 @@ func TestBestSplitTiesAndEdges(t *testing.T) {
 	}
 	if tau, _ := bestSplit(xs[:7], 4); tau != -1 {
 		t.Errorf("inadmissible series returned tau %d; want -1", tau)
+	}
+}
+
+// TestEngineSkipsNonFiniteSplits: one NaN or infinity in a flat series
+// makes the split statistic non-finite. No permutation compares >= NaN,
+// so testing such a split would report the minimum p-value and flag
+// change points in a series with none.
+func TestEngineSkipsNonFiniteSplits(t *testing.T) {
+	cfg := DefaultEngineConfig()
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		xs := make([]float64, 48)
+		for i := range xs {
+			xs[i] = 1
+		}
+		xs[20] = bad
+		cps, err := Detect(xs, 1, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cps) != 0 {
+			t.Errorf("flat series with one %v: change points %+v; want none", bad, cps)
+		}
 	}
 }

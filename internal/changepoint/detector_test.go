@@ -112,3 +112,26 @@ func TestDetectorObserveAllocs(t *testing.T) {
 		t.Errorf("Observe allocates %.2f allocs/op steady-state; want 0", avg)
 	}
 }
+
+// sinkVerdict keeps BenchmarkDetectorObserve's Observe calls live.
+var sinkVerdict Verdict
+
+// BenchmarkDetectorObserve: per-interval cost of the online detector on
+// defaults over a CPI-like stream (2% noise) whose level steps every 600
+// intervals, so most evaluations are non-significant and a few confirm a
+// change.
+func BenchmarkDetectorObserve(b *testing.B) {
+	g := noise{rng: 0xc0ffee}
+	levels := []float64{1.2, 1.5, 1.1, 1.8}
+	stream := make([]float64, 4800)
+	for i := range stream {
+		base := levels[i/600%len(levels)]
+		stream[i] = g.value(base, base*0.02)
+	}
+	d := MustNew(DefaultConfig())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkVerdict = d.Observe(stream[i%len(stream)])
+	}
+}

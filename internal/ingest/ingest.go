@@ -171,7 +171,8 @@ type control struct {
 	op     int
 	stream int
 	data   []byte // opRestore: encoded stream state
-	out    []byte // opSnapshot: encoded stream state
+	out    []byte // opSnapshot: encoded stream state; opRestore: the state replaced
+	failed error  // opRestore: verdict-hashing error to install; on return, the one replaced
 	info   StreamInfo
 	err    error
 	wg     *sync.WaitGroup
@@ -592,7 +593,7 @@ func (sh *shard) exec(c *control, states []*stream) {
 	case opSnapshot:
 		c.out, c.err = st.snapshot()
 	case opRestore:
-		c.err = st.restore(c.data)
+		c.out, c.failed, c.err = st.swap(c.data, c.failed)
 	case opInfo:
 		c.info = StreamInfo{Stream: st.id, Shard: sh.id, Intervals: st.intervals, Digest: st.dig.Sum()}
 		c.err = st.err

@@ -578,6 +578,63 @@ func TestFleetRestoreErrors(t *testing.T) {
 	}
 }
 
+// TestFleetRestoreAllOrNothing: a snapshot whose last stream is corrupt
+// fails to restore and leaves every stream — including the ones before
+// it, which did restore — exactly as it was on entry.
+func TestFleetRestoreAllOrNothing(t *testing.T) {
+	const streams = 4
+	f, err := NewFleet(streams, testConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	ov := newOverflow(24)
+	push := func(from, to int) {
+		for seq := from; seq < to; seq++ {
+			for s := 0; s < streams; s++ {
+				fillOverflow(ov, s, seq)
+				f.PushWait(s, ov)
+			}
+		}
+	}
+	push(0, 80)
+	snapA, err := f.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	push(80, 150)
+	snapB, err := f.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The last stream's last detector is the change-point detector:
+	// corrupting its tag fails that stream's restore after every earlier
+	// stream has been loaded.
+	bad := bytes.Clone(snapA)
+	at := bytes.LastIndex(bad, []byte("chgpt"))
+	if at < 0 {
+		t.Fatal("no change-point section in the fleet snapshot")
+	}
+	bad[at] ^= 0xff
+	if err := f.Restore(bad); err == nil {
+		t.Fatal("restore of a snapshot with a corrupt last stream succeeded")
+	}
+	got, err := f.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, snapB) {
+		t.Error("failed restore changed the fleet: re-snapshot differs from the state on entry")
+	}
+	// The fleet still restores cleanly afterwards.
+	if err := f.Restore(snapA); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := f.Snapshot(); err != nil || !bytes.Equal(got, snapA) {
+		t.Errorf("restore after a failed one: re-snapshot differs from the snapshot (err %v)", err)
+	}
+}
+
 // TestFleetCloseIdempotent: Close twice is fine; operations after Close
 // panic (caller bug, not load).
 func TestFleetCloseIdempotent(t *testing.T) {

@@ -47,9 +47,8 @@ func (f *Fleet) Snapshot() ([]byte, error) {
 // match; the shard count need not (stream state is topology-independent).
 // The fleet's streams must be built from the same configuration as the
 // snapshotted ones — nested pipeline restores validate shape and reject
-// mismatches. On error the fleet may be partially restored (earlier
-// streams loaded, later ones untouched); restore into a fresh fleet to
-// keep a clean failure mode.
+// mismatches. Restore is all-or-nothing: if any stream fails, the streams
+// already loaded are swapped back, leaving the fleet as it was on entry.
 func (f *Fleet) Restore(data []byte) error {
 	d := snap.NewDecoder(data)
 	d.Header(fleetTag, 1)
@@ -73,11 +72,23 @@ func (f *Fleet) Restore(data []byte) error {
 	if err := d.Finish(); err != nil {
 		return fmt.Errorf("ingest: restore: %w", err)
 	}
+	undo := make([]*control, 0, n)
 	for id := range states {
 		c := f.roundTrip(&control{op: opRestore, stream: id, data: states[id].blob})
 		if c.err != nil {
-			return fmt.Errorf("ingest: restore stream %d: %w", id, c.err)
+			err := fmt.Errorf("ingest: restore stream %d: %w", id, c.err)
+			for i := len(undo) - 1; i >= 0; i-- {
+				u := undo[i]
+				back := f.roundTrip(&control{op: opRestore, stream: u.stream, data: u.out, failed: u.failed})
+				if back.err != nil {
+					return fmt.Errorf("%w (rolling back stream %d: %v)", err, u.stream, back.err)
+				}
+			}
+			return err
 		}
+		undo = append(undo, c)
+	}
+	for id := range states {
 		f.accepted[id] = states[id].accepted
 		f.dropped[id] = states[id].dropped
 	}
@@ -89,6 +100,11 @@ func (st *stream) snapshot() ([]byte, error) {
 	if st.err != nil {
 		return nil, st.err
 	}
+	return st.encode()
+}
+
+// encode is snapshot without the failed-stream check.
+func (st *stream) encode() ([]byte, error) {
 	pb, err := st.pipe.Snapshot()
 	if err != nil {
 		return nil, err
@@ -101,6 +117,20 @@ func (st *stream) snapshot() ([]byte, error) {
 	out := make([]byte, e.Len())
 	copy(out, e.Bytes())
 	return out, nil
+}
+
+// swap loads data as the stream's state, with failed as its
+// verdict-hashing error, and returns the state and error it replaced:
+// swapping those back undoes the call. Worker goroutine only.
+func (st *stream) swap(data []byte, failed error) (prev []byte, prevFailed, err error) {
+	if prev, err = st.encode(); err != nil {
+		return nil, nil, err
+	}
+	if err = st.restore(data); err != nil {
+		return nil, nil, err
+	}
+	prevFailed, st.err = st.err, failed
+	return prev, prevFailed, nil
 }
 
 // restore loads one stream's worker-side state. Worker goroutine only.
@@ -121,6 +151,5 @@ func (st *stream) restore(data []byte) error {
 	}
 	st.intervals = intervals
 	st.dig = vhash.Resume(sum)
-	st.err = nil
 	return nil
 }

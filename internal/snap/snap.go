@@ -169,8 +169,9 @@ func (d *Decoder) take(n int) []byte {
 }
 
 // Header reads a component header written by Encoder.Header, failing on a
-// tag mismatch or a version newer than maxVersion. It returns the decoded
-// version so multi-version Restore implementations can branch.
+// tag mismatch, version 0 (versions start at 1, so a 0 byte is corrupt)
+// or a version newer than maxVersion. It returns the decoded version so
+// multi-version Restore implementations can branch.
 func (d *Decoder) Header(tag string, maxVersion uint8) uint8 {
 	got := d.String()
 	if d.err != nil {
@@ -181,6 +182,10 @@ func (d *Decoder) Header(tag string, maxVersion uint8) uint8 {
 		return 0
 	}
 	v := d.U8()
+	if d.err == nil && v == 0 {
+		d.fail("component %q version 0", tag)
+		return 0
+	}
 	if d.err == nil && v > maxVersion {
 		d.fail("component %q version %d newer than supported %d", tag, v, maxVersion)
 		return 0

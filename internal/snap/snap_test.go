@@ -112,6 +112,16 @@ func TestHeaderMismatch(t *testing.T) {
 	if d2.Err() == nil || !strings.Contains(d2.Err().Error(), "version") {
 		t.Fatalf("expected version error, got %v", d2.Err())
 	}
+
+	// No component writes version 0; accepting it would let a corrupt
+	// header restore and re-snapshot to different bytes.
+	e0 := NewEncoder()
+	e0.Header("lpd", 0)
+	d3 := NewDecoder(e0.Bytes())
+	d3.Header("lpd", 1)
+	if d3.Err() == nil || !strings.Contains(d3.Err().Error(), "version 0") {
+		t.Fatalf("expected version 0 error, got %v", d3.Err())
+	}
 }
 
 func TestFinishTrailing(t *testing.T) {
