@@ -41,16 +41,20 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSystemRun|BenchmarkFig13' -benchtime 1x -benchmem ./.
 	$(GO) test -run '^$$' -bench 'BenchmarkObserve|BenchmarkPearson' -benchtime 1x -benchmem ./internal/lpd/ ./internal/stats/
 	$(GO) test -run '^$$' -bench 'BenchmarkDetectorObserve' -benchtime 1x -benchmem ./internal/changepoint/
+	$(GO) test -run '^$$' -bench 'BenchmarkProcessOverflow' -benchtime 1x -benchmem ./internal/region/
 
 # Run each native fuzz target for 10s: the early-stopping change-point
 # engine against its full-permutation reference on arbitrary series
-# (NaN/Inf included), and detector Restore on arbitrary bytes (error and
-# an untouched detector, or a byte-equal re-snapshot). New-coverage
-# inputs are minimized for at most 1s, so minimizing cannot eat the run.
-# A failing input is written under internal/changepoint/testdata/fuzz/.
+# (NaN/Inf included), detector Restore on arbitrary bytes (error and an
+# untouched detector, or a byte-equal re-snapshot), and the region
+# monitor's hashed per-distinct-PC distribution against the per-sample
+# list path on arbitrary sample buffers. New-coverage inputs are
+# minimized for at most 1s, so minimizing cannot eat the run. A failing
+# input is written under the package's testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDetectMatchesReference$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/changepoint/
 	$(GO) test -run '^$$' -fuzz '^FuzzDetectorRestore$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/changepoint/
+	$(GO) test -run '^$$' -fuzz '^FuzzDistributeMatchesList$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/region/
 
 # Regenerate the committed ingest throughput baseline: streams/sec through
 # full detector stacks at 1/4/16/64 shards, per-push vs batched, over a

@@ -60,14 +60,9 @@ func (d *BBV) Snapshot() []byte {
 }
 
 // Restore replaces the detector's state from a Snapshot produced by a
-// detector over the same program.
-func (d *BBV) Restore(data []byte) error {
-	dec := snap.NewDecoder(data)
-	if err := d.RestoreSnapshot(dec); err != nil {
-		return err
-	}
-	return dec.Finish()
-}
+// detector over the same program. On error the detector is left as it
+// was.
+func (d *BBV) Restore(data []byte) error { return snap.Restore(d, data) }
 
 // AppendSnapshot encodes the detector's mutable state onto e. The previous
 // working set is written as sorted block indices for determinism.
@@ -117,11 +112,6 @@ func (d *WorkingSet) Snapshot() []byte {
 }
 
 // Restore replaces the detector's state from a Snapshot produced by a
-// detector over the same program.
-func (d *WorkingSet) Restore(data []byte) error {
-	dec := snap.NewDecoder(data)
-	if err := d.RestoreSnapshot(dec); err != nil {
-		return err
-	}
-	return dec.Finish()
-}
+// detector over the same program. On error the detector is left as it
+// was.
+func (d *WorkingSet) Restore(data []byte) error { return snap.Restore(d, data) }

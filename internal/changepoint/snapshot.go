@@ -57,18 +57,4 @@ func (d *Detector) Snapshot() []byte {
 // Restore replaces the detector's state from a Snapshot produced by a
 // detector with the same configuration. On error the detector is left as
 // it was.
-func (d *Detector) Restore(data []byte) error {
-	prev := d.Snapshot()
-	dec := snap.NewDecoder(data)
-	if err := d.RestoreSnapshot(dec); err != nil {
-		return err
-	}
-	// Trailing bytes show only once the state is decoded and applied.
-	if err := dec.Finish(); err != nil {
-		if rerr := d.RestoreSnapshot(snap.NewDecoder(prev)); rerr != nil {
-			return fmt.Errorf("%w (rolling back: %v)", err, rerr)
-		}
-		return err
-	}
-	return nil
-}
+func (d *Detector) Restore(data []byte) error { return snap.Restore(d, data) }

@@ -69,14 +69,9 @@ func (d *Detector) Snapshot() []byte {
 }
 
 // Restore replaces the detector's state from a Snapshot produced by a
-// detector with the same configuration.
-func (d *Detector) Restore(data []byte) error {
-	dec := snap.NewDecoder(data)
-	if err := d.RestoreSnapshot(dec); err != nil {
-		return err
-	}
-	return dec.Finish()
-}
+// detector with the same configuration. On error the detector is left as
+// it was.
+func (d *Detector) Restore(data []byte) error { return snap.Restore(d, data) }
 
 // AppendSnapshot encodes the tracker's mutable state onto e.
 func (p *PerfTracker) AppendSnapshot(e *snap.Encoder) {
@@ -113,11 +108,6 @@ func (p *PerfTracker) Snapshot() []byte {
 }
 
 // Restore replaces the tracker's state from a Snapshot produced by a
-// tracker with the same configuration.
-func (p *PerfTracker) Restore(data []byte) error {
-	dec := snap.NewDecoder(data)
-	if err := p.RestoreSnapshot(dec); err != nil {
-		return err
-	}
-	return dec.Finish()
-}
+// tracker with the same configuration. On error the tracker is left as it
+// was.
+func (p *PerfTracker) Restore(data []byte) error { return snap.Restore(p, data) }

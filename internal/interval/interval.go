@@ -13,7 +13,7 @@
 // across the monitored regions on each buffer overflow; with hundreds of
 // regions (gcc, crafty, fma3d, parser, bzip) this distribution dominates
 // monitoring cost, which is why the paper proposes the tree and this
-// reproduction adds the count-compressed batch path over Epoch.
+// reproduction adds the batched one-stab-per-distinct-PC path over Epoch.
 package interval
 
 // Index is a dynamic set of half-open address ranges [Start, End) with

@@ -85,11 +85,6 @@ func (d *Detector) Snapshot() []byte {
 }
 
 // Restore replaces the detector's state from a Snapshot produced by a
-// detector with the same configuration and region size.
-func (d *Detector) Restore(data []byte) error {
-	dec := snap.NewDecoder(data)
-	if err := d.RestoreSnapshot(dec); err != nil {
-		return err
-	}
-	return dec.Finish()
-}
+// detector with the same configuration and region size. On error the
+// detector is left as it was.
+func (d *Detector) Restore(data []byte) error { return snap.Restore(d, data) }

@@ -4,8 +4,9 @@
 //
 //  1. distributes the buffered PC samples across the monitored regions
 //     (using a linear region list, an interval tree — the paper's
-//     Section 3.2.3 cost comparison — or, by default, a count-compressed
-//     batch over a flat epoch index), incrementing per-instruction
+//     Section 3.2.3 cost comparison — or, by default, one stab per
+//     distinct PC of the buffer into a flat epoch index), incrementing
+//     per-instruction
 //     histograms; a sample falling in several overlapping regions (nested
 //     loops) increments all of them;
 //  2. attributes samples outside every monitored region to the
@@ -51,7 +52,7 @@ type Config struct {
 	// Detector configures each region's local phase detector.
 	Detector lpd.Config
 	// Index selects the sample-to-region distribution structure. The
-	// zero value is IndexEpoch: the count-compressed batch path.
+	// zero value is IndexEpoch: the batched per-distinct-PC path.
 	Index IndexKind
 	// PruneAfter removes a region after this many consecutive intervals
 	// without samples (the paper's proposed region pruning); 0 disables.
@@ -85,8 +86,7 @@ type IndexKind int
 const (
 	// IndexEpoch (the default) distributes through a flat epoch index: an
 	// immutable sorted-segment snapshot of the region set, rebuilt only
-	// when the set changes, stabbed once per distinct PC over the
-	// count-compressed buffer.
+	// when the set changes, stabbed once per distinct PC of the buffer.
 	IndexEpoch IndexKind = iota
 	// IndexList is the paper's baseline linear region list, stabbed once
 	// per sample.
@@ -283,7 +283,7 @@ type Monitor struct {
 	// index is rebuilt from regions on restore, never serialized.
 	index interval.Index //lint:config
 	// epoch is non-nil exactly when index is the epoch snapshot; its
-	// closure-free Lookup enables the count-compressed batch path.
+	// closure-free Lookup enables the batched distribution path.
 	epoch *interval.Epoch //lint:config -- derived view of index
 	// sortedIDs holds the monitored region IDs ascending, maintained
 	// incrementally (AddRegion assigns monotonically increasing IDs, so
@@ -298,9 +298,8 @@ type Monitor struct {
 
 	// Per-interval scratch, reused across ProcessOverflow calls so the
 	// monitoring hot path stays allocation-free in steady state.
-	runs       *stats.RunScratch //lint:config -- count-compression scratch (epoch path)
-	keyScratch []uint64          //lint:config -- sample PCs as radix keys (epoch path)
-	ucrScratch []isa.Addr        //lint:config -- UCR PCs of the current interval
+	pcs        pcCounter  //lint:config -- per-interval PC counts (epoch path)
+	ucrScratch []isa.Addr //lint:config -- UCR PCs of the current interval
 	// idScratch holds the sorted region IDs the verdict loop iterates.
 	//lint:bounded -- reused via [:0]; one entry per region
 	idScratch      []int           //lint:config
@@ -342,8 +341,7 @@ func NewMonitor(prog *isa.Program, cfg Config) (*Monitor, error) {
 		loopCount: make(map[*isa.Loop]int),
 	}
 	if epoch != nil {
-		m.runs = stats.NewRunScratch(hpm.DefaultBufferSize)
-		m.keyScratch = make([]uint64, 0, hpm.DefaultBufferSize)
+		m.pcs = newPCCounter(hpm.DefaultBufferSize)
 	}
 	m.ucr = m.newUCRSeries()
 	// Built once so sample distribution creates no per-sample closures.
@@ -482,8 +480,8 @@ func (m *Monitor) ProcessOverflow(ov *hpm.Overflow) Report {
 	m.seq = ov.Seq
 
 	// Phase 1: distribute samples. UCR PCs are collected for formation.
-	// The epoch path count-compresses the buffer first so each distinct PC
-	// is stabbed once; it produces the same counters and histograms as the
+	// The epoch path counts the buffer's PCs first so each distinct PC is
+	// stabbed once; it produces the same counters and histograms as the
 	// per-sample path (formation is insensitive to ucrPCs order, the only
 	// thing that differs).
 	var ucrPCs []isa.Addr
@@ -579,24 +577,19 @@ func (m *Monitor) distributePerSample(ov *hpm.Overflow, rep *Report) []isa.Addr 
 	return ucrPCs
 }
 
-// distributeBatched is the epoch path: the buffer is count-compressed
-// into (distinct PC, count) runs, each run stabs the epoch snapshot once,
-// and histograms advance by the run count. Loopy buffers hold far fewer
-// distinct PCs than samples, so this removes most of the stabbing work.
-// UCR PCs are re-expanded run-by-run so formation sees the same multiset
-// as the per-sample path (sorted rather than in buffer order, which
-// formation is insensitive to).
+// distributeBatched is the epoch path: one pass counts the buffer's PCs,
+// then each distinct PC stabs the epoch snapshot once and histograms
+// advance by its count. Loopy buffers hold far fewer distinct PCs than
+// samples, so this removes most of the stabbing work. Distinct PCs are
+// visited in first-seen order; every update is an integer add, so the
+// order reaches no counter or histogram. UCR PCs are re-expanded per PC
+// so formation sees the same multiset as the per-sample path, grouped
+// rather than in buffer order, which formation is insensitive to.
 func (m *Monitor) distributeBatched(ov *hpm.Overflow, rep *Report) []isa.Addr {
-	keys := m.keyScratch[:0]
-	for i := range ov.Samples {
-		keys = append(keys, uint64(ov.Samples[i].PC))
-	}
-	m.keyScratch = keys
-	pcs, counts := m.runs.Compress(keys)
-
+	m.pcs.count(ov.Samples)
 	ucrPCs := m.ucrScratch[:0]
-	for i, pc := range pcs {
-		c := int(counts[i])
+	for _, slot := range m.pcs.touched {
+		pc, c := m.pcs.take(slot)
 		ids := m.epoch.Lookup(pc)
 		if len(ids) > 0 {
 			rep.MonitoredSamples += c

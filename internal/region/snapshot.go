@@ -167,11 +167,6 @@ func (m *Monitor) Snapshot() []byte {
 }
 
 // Restore replaces the monitor's state from a Snapshot produced by a
-// monitor over the same program with the same configuration.
-func (m *Monitor) Restore(data []byte) error {
-	dec := snap.NewDecoder(data)
-	if err := m.RestoreSnapshot(dec); err != nil {
-		return err
-	}
-	return dec.Finish()
-}
+// monitor over the same program with the same configuration. On error the
+// monitor is left as it was.
+func (m *Monitor) Restore(data []byte) error { return snap.Restore(m, data) }

@@ -147,6 +147,34 @@ func (d *Decoder) Finish() error {
 	return nil
 }
 
+// Restorable is a component with a standalone snapshot: Snapshot encodes
+// its whole state, RestoreSnapshot decodes such an encoding into it.
+type Restorable interface {
+	Snapshot() []byte
+	RestoreSnapshot(dec *Decoder) error
+}
+
+// Restore replaces c's state from data, which must decode to its last
+// byte. It is all-or-nothing: c is snapshotted first and, on any error,
+// restored from that snapshot. Trailing bytes show only after the state
+// has been decoded and applied, so without the rollback a snapshot with
+// trailing bytes would return an error with c already replaced.
+func Restore(c Restorable, data []byte) error {
+	prev := c.Snapshot()
+	dec := NewDecoder(data)
+	err := c.RestoreSnapshot(dec)
+	if err == nil {
+		err = dec.Finish()
+	}
+	if err == nil {
+		return nil
+	}
+	if rerr := c.RestoreSnapshot(NewDecoder(prev)); rerr != nil {
+		return fmt.Errorf("%w (rolling back: %v)", err, rerr)
+	}
+	return err
+}
+
 // fail records the first error.
 func (d *Decoder) fail(format string, args ...any) {
 	if d.err == nil {

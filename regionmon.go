@@ -226,8 +226,8 @@ type (
 
 // Sample-distribution structures (RegionConfig.Index).
 const (
-	// RegionIndexEpoch is the default: count-compressed batched
-	// distribution over a flat epoch snapshot of the region set.
+	// RegionIndexEpoch is the default: batched distribution, one stab per
+	// distinct PC, over a flat epoch snapshot of the region set.
 	RegionIndexEpoch = region.IndexEpoch
 	// RegionIndexList is the paper's per-sample linear list.
 	RegionIndexList = region.IndexList
